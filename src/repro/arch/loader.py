@@ -4,12 +4,15 @@ Architectures live as ``.csaw`` files under ``repro/arch/dsl``.  The
 sharding program is parameterized by the number of back-ends (a
 compile-time configuration parameter in the paper, sec. 5.2); the
 loader expands the ``@BACKENDS@`` / ``@BACKSET@`` / ``@STARTS@``
-placeholders before compilation.
+placeholders before compilation.  :func:`boot_program` starts a bare
+program with no embedding application — the one boot behind every CLI
+command and exploration scenario that runs a ``.csaw`` file.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable
 
 from ..core.compiler import CompiledProgram, compile_program
 
@@ -58,6 +61,17 @@ def load_source(name: str, *, n_backends: int | None = None) -> str:
     return text
 
 
+def resolve_source(target: str, *, n_backends: int | None = None) -> str:
+    """A shipped architecture name or a ``.csaw`` path → DSL source
+    with the back-end placeholders expanded."""
+    if target in ARCHITECTURES:
+        return load_source(target, n_backends=n_backends)
+    text = Path(target).read_text()
+    if "@BACKENDS@" in text:
+        text = expand_placeholders(text, n_backends or 4)
+    return text
+
+
 def load_program(name: str, *, n_backends: int | None = None, config=None) -> CompiledProgram:
     """Load and compile an architecture."""
     return compile_program(load_source(name, n_backends=n_backends), config=config)
@@ -65,3 +79,50 @@ def load_program(name: str, *, n_backends: int | None = None, config=None) -> Co
 
 def backend_names(n: int) -> list[str]:
     return [f"Bck{i}" for i in range(1, n + 1)]
+
+
+def _stub_bindings(system) -> list[str]:
+    """Bind no-op host functions and empty state providers for every
+    unbound ⌊H⌉ block / save schema, so a bare ``.csaw`` architecture
+    runs to completion without an embedding application.  Returns the
+    stubbed ``Type.block`` names."""
+    from ..core import ast as A
+    from ..runtime.instance import StateProviders
+
+    stubbed: list[str] = []
+    for tname, trt in sorted(system.types.items()):
+        declared: set[str] = set()
+        for cj in trt.junctions.values():
+            for e in A.walk(cj.body):
+                if isinstance(e, A.HostBlock):
+                    declared.add(e.name)
+        for name in sorted(declared - set(trt.host_fns)):
+            trt.bind_host(name, lambda ctx: None)
+            stubbed.append(f"{tname}.{name}")
+        if trt.state.save is None:
+            trt.state = StateProviders(
+                save=lambda app, inst: {},
+                restore=lambda app, inst, obj: None,
+            )
+    return stubbed
+
+
+def boot_program(program: CompiledProgram, engine=None, *,
+                 before_start: Callable | None = None):
+    """Build and start a System for a bare program: unbound host blocks
+    are stubbed (:func:`_stub_bindings`) and main parameters the
+    configuration leaves unset default to 1.0.  ``before_start(system,
+    stubbed, defaulted)`` runs between the two, with the stubbed block
+    names and the defaulted parameter names."""
+    from ..runtime.system import System
+
+    system = System(program, engine=engine)
+    stubbed = _stub_bindings(system)
+    main_args = {}
+    if program.main is not None:
+        env = program.config_env()
+        main_args = {p: 1.0 for p in program.main.params if p not in env}
+    if before_start is not None:
+        before_start(system, stubbed, sorted(main_args))
+    system.start(**main_args)
+    return system

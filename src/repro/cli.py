@@ -17,21 +17,23 @@ Commands:
 * ``semantics`` — print the event-structure semantics per junction
                   (``--dot`` for Graphviz output).
 * ``loc``       — count non-blank, non-comment lines.
-* ``trace``     — run an architecture (a ``.csaw`` file or an example
-                  ``.py`` script) with telemetry on and export the
-                  causal trace as JSONL or Chrome trace-event JSON
-                  (loadable in ``chrome://tracing`` / Perfetto).
+* ``trace``     — run an architecture (a ``.csaw`` file, a shipped
+                  architecture name or an example ``.py`` script) with
+                  telemetry on and export the causal trace as JSONL or
+                  Chrome trace-event JSON (loadable in
+                  ``chrome://tracing`` / Perfetto).
 * ``run``       — execute an architecture on a chosen execution engine
                   (``--engine`` takes an EngineSpec string such as
                   ``realtime,time_scale=0.05`` or ``sim,compiled=off``);
                   SIGINT/SIGTERM drain in-flight work before the
                   summary instead of dying mid-write.
 * ``cluster``   — deploy across supervised worker processes (one OS
-                  process per instance, or ``--workers N`` shard
-                  groups) with heartbeat liveness probes and
-                  restart-with-backoff; ``--kill b1 --kill-at 4`` runs
-                  a SIGKILL fault drill and exits non-zero unless the
-                  supervisor recovers the worker.
+                  process per instance, or N shard groups with
+                  ``--engine cluster,workers=N``) with heartbeat
+                  liveness probes and restart-with-backoff;
+                  ``--kill b1 --kill-at 4`` runs a SIGKILL fault drill
+                  and exits non-zero unless the supervisor recovers the
+                  worker.
 * ``explore``   — controlled-scheduler interleaving search: run a
                   shipped architecture name, a ``.csaw`` file or a
                   ``.py`` scenario script under every reachable
@@ -43,6 +45,12 @@ Commands:
                   attempts a concrete witness schedule for every static
                   race finding.
 
+Every command that takes an architecture resolves it the same way
+(:func:`_resolve`): a shipped name, a ``.csaw`` path with its
+``@BACKENDS@`` placeholders expanded, or — where the command runs one —
+a ``.py`` script.  Commands that run a bare ``.csaw`` program share one
+boot (:func:`_boot`).
+
 Configuration values (set contents, parameters) are supplied as
 ``--config name=value`` pairs; values parse as numbers, comma-separated
 lists, or names.
@@ -51,7 +59,10 @@ lists, or names.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import sys
+import time
 from pathlib import Path
 
 from .core.compiler import compile_program
@@ -63,55 +74,18 @@ from .semantics.program_sem import denote_program
 from .semantics.render import to_dot, to_text
 
 
-def _engine_spec(args, *, command: str, default: str = "sim",
-                 default_time_scale: float | None = None):
-    """Resolve the subcommand's ``--engine`` value to an
-    :class:`~repro.runtime.engine.EngineSpec`, folding the deprecated
-    per-flag forms (``--time-scale``, ``--workers``) in with a
-    :class:`DeprecationWarning`."""
-    import dataclasses
-    import warnings
-
+def _engine_spec(args, default_time_scale: float | None = None):
+    """The subcommand's ``--engine`` value as an
+    :class:`~repro.runtime.engine.EngineSpec`.  Wall-clock engines get
+    ``default_time_scale`` unless the spec sets one: the CLI compresses
+    them by default, while the engine constructors default to real
+    time."""
     from .runtime.engine import EngineSpec
 
-    spec = EngineSpec.of(getattr(args, "engine", None) or default)
-    ts = getattr(args, "time_scale", None)
-    if ts is not None:
-        warnings.warn(
-            f"repro {command}: --time-scale is deprecated; use "
-            f"--engine {spec.name},time_scale={ts}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if spec.time_scale is None and spec.name != "sim":
-            spec = dataclasses.replace(spec, time_scale=ts)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        warnings.warn(
-            f"repro {command}: --workers is deprecated; use "
-            f"--engine {spec.name},workers={workers}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if spec.workers is None:
-            spec = dataclasses.replace(spec, workers=workers)
+    spec = EngineSpec.of(args.engine)
     if default_time_scale is not None and spec.name != "sim" and spec.time_scale is None:
-        # the CLI compresses wall-clock engines by default (the engine
-        # constructors themselves default to real time)
         spec = dataclasses.replace(spec, time_scale=default_time_scale)
     return spec
-
-
-def _compile_ctx(spec):
-    """A context applying the spec's compile mode (``compiled=on/off``)
-    to every System built inside it; a no-op when the spec is silent."""
-    import contextlib
-
-    if spec.compiled is None:
-        return contextlib.nullcontext()
-    from .compile import compilation
-
-    return compilation(spec.compiled)
 
 
 def _parse_config(pairs: list[str]) -> dict:
@@ -134,8 +108,39 @@ def _scalar(raw: str) -> object:
         return raw
 
 
+def _resolve(target: str, *, capture=None, n_backends: int | None = None):
+    """Resolve an architecture argument.
+
+    A shipped architecture name or a ``.csaw`` path returns its DSL
+    source, placeholders expanded.  A ``.py`` script runs as
+    ``__main__`` (``sys.argv`` swapped, its stdout sent to stderr so the
+    command owns stdout) inside ``capture()``, and the list that
+    recorded is returned.  Commands passing no ``capture`` take DSL
+    sources only."""
+    if Path(target).suffix != ".py":
+        from .arch.loader import resolve_source
+
+        return resolve_source(target, n_backends=n_backends)
+    if capture is None:
+        raise SystemExit(
+            f"error: {target}: this command needs a .csaw file or a "
+            "shipped architecture name"
+        )
+    import runpy
+
+    argv, sys.argv = sys.argv, [target]
+    try:
+        with capture() as captured, contextlib.redirect_stdout(sys.stderr):
+            runpy.run_path(target, run_name="__main__")
+    finally:
+        sys.argv = argv
+    if not captured:
+        raise SystemExit(f"error: {target} constructed no System")
+    return captured
+
+
 def cmd_check(args) -> int:
-    text = Path(args.file).read_text()
+    text = _resolve(args.file)
     prog = compile_program(text, config=_parse_config(args.config))
     print(f"OK: {len(prog.source.instance_types)} type(s), "
           f"{len(prog.source.instances)} instance(s), "
@@ -153,49 +158,11 @@ def cmd_check(args) -> int:
     return 2 if errors else 0
 
 
-def _analysis_sources(args) -> list[tuple[str, object, str | None]]:
-    """Resolve the ``analyze`` argument to ``(label, program-or-text,
-    source_text)`` items: a shipped architecture name, a ``.csaw``
-    file (placeholders expanded), or a ``.py`` script whose Systems'
-    programs are captured while it runs."""
-    from .arch.loader import ARCHITECTURES, expand_placeholders, load_source
-
-    name = args.file
-    if name in ARCHITECTURES:
-        text = load_source(name)
-        return [(name, text, text)]
-    path = Path(name)
-    if path.suffix == ".py":
-        import contextlib
-        import runpy
-
-        from .analysis.capture import capture_programs
-
-        argv = sys.argv
-        sys.argv = [str(path)]
-        try:
-            with capture_programs() as captured, contextlib.redirect_stdout(sys.stderr):
-                runpy.run_path(str(path), run_name="__main__")
-        finally:
-            sys.argv = argv
-        if not captured:
-            raise SystemExit(f"error: {name} constructed no System to analyze")
-        labels = (
-            [str(path)]
-            if len(captured) == 1
-            else [f"{path}#{i}" for i in range(len(captured))]
-        )
-        return [(lbl, prog, None) for lbl, prog in zip(labels, captured)]
-    text = path.read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text)
-    return [(str(path), text, text)]
-
-
 def cmd_analyze(args) -> int:
     import json
 
     from .analysis import analyze_program, analyze_source
+    from .analysis.capture import capture_programs
     from .analysis.model import CHECKS
 
     fail_on: tuple[str, ...] = ()
@@ -208,29 +175,20 @@ def cmd_analyze(args) -> int:
             )
 
     config = _parse_config(args.config)
-    reports = []
-    for label, source, text in _analysis_sources(args):
-        if isinstance(source, str):
-            reports.append(
-                analyze_source(
-                    source,
-                    config,
-                    label=label,
-                    deep=not args.fast,
-                    max_unfold=args.max_unfold,
-                )
-            )
-        else:  # a captured CompiledProgram from a .py script
-            reports.append(
-                analyze_program(
-                    source,
-                    config,
-                    source_text=text,
-                    label=label,
-                    deep=not args.fast,
-                    max_unfold=args.max_unfold,
-                )
-            )
+    opts = dict(deep=not args.fast, max_unfold=args.max_unfold)
+    source = _resolve(args.file, capture=capture_programs)
+    if isinstance(source, str):
+        reports = [analyze_source(source, config, label=args.file, **opts)]
+    else:  # the CompiledPrograms a .py script's Systems loaded
+        labels = (
+            [args.file]
+            if len(source) == 1
+            else [f"{args.file}#{i}" for i in range(len(source))]
+        )
+        reports = [
+            analyze_program(prog, config, source_text=None, label=label, **opts)
+            for label, prog in zip(labels, source)
+        ]
 
     if args.json:
         payload = (
@@ -273,8 +231,7 @@ def cmd_fmt(args) -> int:
 
 
 def cmd_topo(args) -> int:
-    text = Path(args.file).read_text()
-    prog = compile_program(text, config=_parse_config(args.config))
+    prog = compile_program(_resolve(args.file), config=_parse_config(args.config))
     g = topology(prog)
     print(f"# {g.number_of_nodes()} junction(s), {g.number_of_edges()} edge(s)")
     for src, dst in sorted(g.edges()):
@@ -283,8 +240,7 @@ def cmd_topo(args) -> int:
 
 
 def cmd_semantics(args) -> int:
-    text = Path(args.file).read_text()
-    prog = compile_program(text, config=_parse_config(args.config))
+    prog = compile_program(_resolve(args.file), config=_parse_config(args.config))
     sem = denote_program(prog, _parse_config(args.config))
     if args.dot:
         print(to_dot(sem.startup, "startup"))
@@ -307,57 +263,41 @@ def cmd_loc(args) -> int:
     return 0
 
 
-def _trace_py(path: Path) -> list:
-    """Run a Python script, capturing the telemetry of every System it
-    constructs.  The script's stdout goes to stderr so the export owns
-    stdout."""
-    import contextlib
-    import runpy
+def _boot(prog, engine, holder: list | None = None):
+    """Start a bare ``.csaw`` program (see
+    :func:`~repro.arch.loader.boot_program`), noting on stderr what was
+    stubbed or defaulted.  The System goes into ``holder`` before it
+    starts, so an interrupt during start-up can still drain it."""
+    from .arch.loader import boot_program
 
-    from .telemetry.facade import capture_systems
+    def note(system, stubbed, defaulted):
+        if holder is not None:
+            holder.append(system)
+        if stubbed:
+            print(f"stubbed host bindings: {', '.join(stubbed)}", file=sys.stderr)
+        if defaulted:
+            print(f"defaulted main parameter(s) to 1.0: {defaulted}", file=sys.stderr)
 
-    argv = sys.argv
-    sys.argv = [str(path)]
-    try:
-        with capture_systems() as captured, contextlib.redirect_stdout(sys.stderr):
-            runpy.run_path(str(path), run_name="__main__")
-    finally:
-        sys.argv = argv
-    return captured
-
-
-def _trace_csaw(path: Path, config: dict, until: float, spec) -> list:
-    from .runtime.system import System
-
-    prog = compile_program(path.read_text(), config=config)
-    system = System(prog, engine=spec)
-    system.start()
-    system.run_until(until)
-    return [system.telemetry]
+    return boot_program(prog, engine, before_start=note)
 
 
 def cmd_trace(args) -> int:
     from .runtime.engine import default_engine
+    from .telemetry.facade import capture_systems
     from .telemetry.sinks import chrome_json, to_jsonl
 
-    spec = _engine_spec(args, command="trace")
-    path = Path(args.file)
-    with _compile_ctx(spec):
-        if path.suffix == ".py":
-            if args.engine is not None:
-                # an explicit spec reroutes every System the script
-                # builds (scripts passing their own engine keep it)
-                with default_engine(spec):
-                    telemetries = _trace_py(path)
-            else:
-                telemetries = _trace_py(path)
-        else:
-            telemetries = _trace_csaw(
-                path, _parse_config(args.config), args.until, spec
-            )
-    if not telemetries:
-        print("error: the traced program constructed no System", file=sys.stderr)
-        return 1
+    spec = _engine_spec(args)
+    # the spec reroutes every System a script builds (scripts passing
+    # their own engine keep it, but still take its compile mode)
+    with default_engine(spec):
+        source = _resolve(args.file, capture=capture_systems)
+    if isinstance(source, str):
+        system = _boot(compile_program(source, config=_parse_config(args.config)), spec)
+        system.run_until(args.until)
+        system.shutdown()
+        telemetries = [system.telemetry]
+    else:
+        telemetries = source
 
     labels = (
         ["system"]
@@ -382,124 +322,33 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _stub_bindings(system) -> list[str]:
-    """Bind no-op host functions and empty state providers for every
-    unbound ⌊H⌉ block / save schema, so a bare ``.csaw`` architecture
-    runs to completion without an embedding application."""
-    from .core import ast as A
-    from .runtime.instance import StateProviders
-
-    stubbed: list[str] = []
-    for tname, trt in sorted(system.types.items()):
-        declared: set[str] = set()
-        for cj in trt.junctions.values():
-            for e in A.walk(cj.body):
-                if isinstance(e, A.HostBlock):
-                    declared.add(e.name)
-        for name in sorted(declared - set(trt.host_fns)):
-            trt.bind_host(name, lambda ctx: None)
-            stubbed.append(f"{tname}.{name}")
-        if trt.state.save is None:
-            trt.state = StateProviders(
-                save=lambda app, inst: {},
-                restore=lambda app, inst, obj: None,
-            )
-    return stubbed
-
-
 class _GracefulSignal(Exception):
     """Raised out of a running engine loop by the SIGINT/SIGTERM
-    handler so ``repro run`` / ``repro cluster`` can drain instead of
-    dying mid-write."""
-
-    def __init__(self, signum: int):
-        super().__init__(signum)
-        self.signum = signum
-
-    @property
-    def name(self) -> str:
-        import signal as _signal
-
-        try:
-            return _signal.Signals(self.signum).name
-        except ValueError:  # pragma: no cover - exotic signal numbers
-            return str(self.signum)
+    handler so ``run`` / ``cluster`` / ``reconfigure`` can drain
+    instead of dying mid-write; the argument is the signal's name."""
 
 
-class _graceful_signals:
-    """Context manager: route SIGINT/SIGTERM into :class:`_GracefulSignal`
-    (wall-clock engines only — the sim engine finishes instantly and the
-    default KeyboardInterrupt behaviour is right for it)."""
+@contextlib.contextmanager
+def _graceful_signals(enabled: bool):
+    """Route SIGINT/SIGTERM into :class:`_GracefulSignal` inside the
+    block (wall-clock engines only — the sim engine finishes instantly
+    and the default KeyboardInterrupt behaviour is right for it)."""
+    import signal
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._prev: list[tuple[int, object]] = []
+    def handler(signum, frame):  # noqa: ARG001 - signal signature
+        raise _GracefulSignal(signal.Signals(signum).name)
 
-    def __enter__(self):
-        if not self.enabled:
-            return self
-        import signal as _signal
-
-        def handler(signum, frame):  # noqa: ARG001 - signal signature
-            raise _GracefulSignal(signum)
-
-        for signum in (_signal.SIGINT, _signal.SIGTERM):
-            self._prev.append((signum, _signal.signal(signum, handler)))
-        return self
-
-    def __exit__(self, *exc):
-        import signal as _signal
-
-        for signum, prev in self._prev:
-            _signal.signal(signum, prev)
-        return False
-
-
-def _run_workload(args, engine, holder=None):
-    """The shared ``repro run`` / ``repro cluster`` drive: a shipped
-    scenario name runs its exploration workload, anything else loads as
-    a ``.csaw`` file with stubbed host bindings.  ``engine`` is an
-    :class:`~repro.runtime.engine.EngineSpec` or a zero-arg engine
-    factory.  Returns the system."""
-    from .explore.scenarios import _ARCH_SCENARIOS, arch_scenario
-    from .runtime.engine import default_engine
-
-    if args.file in _ARCH_SCENARIOS:
-        # shipped architecture: the exploration scenario provides the
-        # host bindings and a deterministic workload
-        sc = arch_scenario(args.file)
-        if args.until is not None:
-            sc.horizon = args.until
-        if holder is not None:
-            holder.append(sc)
-        with default_engine(engine):
-            return sc.run()
-    from .arch.loader import expand_placeholders
-    from .core.compiler import compile_program
-    from .runtime.system import System
-
-    text = Path(args.file).read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text)
-    prog = compile_program(text, config=_parse_config(args.config))
-    system = System(prog, engine=engine() if callable(engine) else engine)
-    if holder is not None:
-        holder.append(system)
-    stubbed = _stub_bindings(system)
-    if stubbed:
-        print(f"stubbed host bindings: {', '.join(stubbed)}", file=sys.stderr)
-    main_args = {}
-    if prog.main is not None:
-        env = prog.config_env()
-        main_args = {p: 1.0 for p in prog.main.params if p not in env}
-    if main_args:
-        print(
-            f"defaulted main parameter(s) to 1.0: {sorted(main_args)}",
-            file=sys.stderr,
-        )
-    system.start(**main_args)
-    system.run_until(args.until if args.until is not None else 30.0)
-    return system
+    prev = (
+        [(signum, signal.signal(signum, handler))
+         for signum in (signal.SIGINT, signal.SIGTERM)]
+        if enabled
+        else []
+    )
+    try:
+        yield
+    finally:
+        for signum, old in prev:
+            signal.signal(signum, old)
 
 
 def _recover_system(holder):
@@ -514,42 +363,77 @@ def _recover_system(holder):
     return None
 
 
-def _print_summary(args, system, wall: float, *, drained: str | None = None) -> None:
-    sent = int(system.telemetry.metrics.sum("net_sent"))
-    delivered = int(system.telemetry.metrics.sum("net_delivered"))
-    drain_note = f" drained={drained}" if drained is not None else ""
-    print(
-        f"{args.file}: engine={system.engine.name} t={system.now:.3f} "
-        f"sent={sent} delivered={delivered} wall={wall:.2f}s "
-        f"failures={len(system.failures)}{drain_note}"
-    )
+def _interruptible(command: str, spec, body):
+    """Run ``body(holder)``, which returns the System it drives and puts
+    it (or the scenario building it) into ``holder`` as early as it can.
+    On a wall-clock engine SIGINT/SIGTERM stop the run and the system
+    drains in-flight messages and host calls, so the summary describes
+    a settled system.  Returns ``(system, wall_seconds, drained)``;
+    ``system`` is None when the signal came before one existed."""
+    holder: list = []
+    wall0 = time.perf_counter()
+    drained: str | None = None
+    try:
+        with _graceful_signals(enabled=spec.name != "sim"):
+            system = body(holder)
+    except _GracefulSignal as sig:
+        system = _recover_system(holder)
+        if system is None:
+            print(f"{command}: {sig} before the system came up", file=sys.stderr)
+            return None, 0.0, None
+        print(f"{command}: {sig} — draining in-flight work", file=sys.stderr)
+        drained = "clean" if system.engine.drain(grace=5.0) else "timeout"
+    return system, time.perf_counter() - wall0, drained
+
+
+def _print_summary(label: str, system, wall: float, drained: str | None, *,
+                   traffic: bool = True) -> None:
+    """The one-line run summary on stdout, then each failure on stderr."""
+    fields = [f"engine={system.engine.name}", f"t={system.now:.3f}"]
+    if traffic:
+        metrics = system.telemetry.metrics
+        fields += [
+            f"sent={int(metrics.sum('net_sent'))}",
+            f"delivered={int(metrics.sum('net_delivered'))}",
+        ]
+    fields += [f"wall={wall:.2f}s", f"failures={len(system.failures)}"]
+    if drained is not None:
+        fields.append(f"drained={drained}")
+    print(f"{label}: {' '.join(fields)}")
     for t, node, exc in system.failures:
         print(f"  failure at t={t:.3f} in {node}: {exc!r}", file=sys.stderr)
 
 
+def _run_workload(args, spec, holder: list):
+    """The shared ``run`` / ``cluster`` drive: a shipped scenario name
+    runs its exploration workload, anything else boots as a bare
+    ``.csaw`` program.  Returns the system."""
+    from .explore.scenarios import _ARCH_SCENARIOS, arch_scenario
+    from .runtime.engine import default_engine
+
+    if args.file in _ARCH_SCENARIOS:
+        # shipped architecture: the exploration scenario provides the
+        # host bindings and a deterministic workload
+        sc = arch_scenario(args.file)
+        if args.until is not None:
+            sc.horizon = args.until
+        holder.append(sc)
+        with default_engine(spec):
+            return sc.run()
+    prog = compile_program(_resolve(args.file), config=_parse_config(args.config))
+    system = _boot(prog, spec, holder)
+    system.run_until(args.until if args.until is not None else 30.0)
+    return system
+
+
 def cmd_run(args) -> int:
-    import time as _time
-
-    spec = _engine_spec(args, command="run", default_time_scale=0.05)
-
-    holder: list = []
-    wall0 = _time.perf_counter()
-    drained: str | None = None
-    try:
-        with _compile_ctx(spec), _graceful_signals(enabled=spec.name != "sim"):
-            system = _run_workload(args, spec, holder)
-    except _GracefulSignal as sig:
-        system = _recover_system(holder)
-        if system is None:
-            print(f"run: {sig.name} before the system came up", file=sys.stderr)
-            return 130
-        # drain in-flight messages and host calls before summarizing, so
-        # the telemetry counters below describe a settled system
-        print(f"run: {sig.name} — draining in-flight work", file=sys.stderr)
-        drained = "clean" if system.engine.drain(grace=5.0) else "timeout"
-    wall = _time.perf_counter() - wall0
-
-    _print_summary(args, system, wall, drained=drained)
+    spec = _engine_spec(args, default_time_scale=0.05)
+    system, wall, drained = _interruptible(
+        "run", spec, lambda holder: _run_workload(args, spec, holder)
+    )
+    if system is None:
+        return 130
+    _print_summary(args.file, system, wall, drained)
     system.shutdown()
     return 1 if system.failures else 0
 
@@ -576,9 +460,7 @@ def cmd_workload(args) -> int:
         value_size=args.value_size,
         read_fraction=args.read_fraction,
     )
-    engine = _engine_spec(args, command="workload", default_time_scale=0.05)
-    with _compile_ctx(engine):
-        report = run_workload(spec, args.arch, engine)
+    report = run_workload(spec, args.arch, _engine_spec(args, default_time_scale=0.05))
     if args.json:
         import json
 
@@ -602,8 +484,6 @@ def cmd_workload(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    import time as _time
-
     from .runtime.cluster import ClusterEngine, reap_orphan_workers
     from .runtime.supervisor import BackoffPolicy
 
@@ -615,63 +495,43 @@ def cmd_cluster(args) -> int:
     while len(kill_times) < len(kills):
         last = kill_times[-1] if kill_times else 2.0
         kill_times.append(last + 2.0)
-    drills = list(zip(kill_times, kills))
+    drills = tuple(zip(kill_times, kills))
 
-    spec = _engine_spec(
-        args, command="cluster", default="cluster", default_time_scale=0.05
-    )
+    spec = _engine_spec(args, default_time_scale=0.05)
     if spec.name != "cluster":
         raise SystemExit(
             f"error: repro cluster deploys on the cluster engine, "
             f"got --engine {spec.name}"
         )
+    # the supervision flags ride in the spec, under any options it names
+    options = {
+        "heartbeat_interval": args.heartbeat_interval,
+        "heartbeat_timeout": args.heartbeat_timeout,
+        "backoff": BackoffPolicy(base=args.backoff_base, cap=args.backoff_cap),
+        "drills": drills,
+        **dict(spec.options),
+    }
+    spec = dataclasses.replace(spec, options=tuple(sorted(options.items())))
 
-    backoff = BackoffPolicy(base=args.backoff_base, cap=args.backoff_cap)
-    engines: list[ClusterEngine] = []
+    def deploy(holder):
+        system = _run_workload(args, spec, holder)
+        if drills:
+            # give supervised restarts room to land after the
+            # workload: backoff delay + handshake + stabilization
+            system.run_until(system.now + args.settle)
+        return system
 
-    def factory() -> ClusterEngine:
-        e = ClusterEngine(
-            workers=spec.workers,
-            time_scale=spec.time_scale,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
-            backoff=backoff,
-            drills=drills,
-            **dict(spec.options),
-        )
-        engines.append(e)
-        return e
-
-    holder: list = []
-    wall0 = _time.perf_counter()
-    drained: str | None = None
-    interrupted = False
-    try:
-        with _compile_ctx(spec), _graceful_signals():
-            system = _run_workload(args, factory, holder)
-            if drills:
-                # give supervised restarts room to land after the
-                # workload: backoff delay + handshake + stabilization
-                system.run_until(system.now + args.settle)
-    except _GracefulSignal as sig:
-        interrupted = True
-        system = _recover_system(holder)
-        if system is None:
-            for e in engines:
-                e.close()
-            print(f"cluster: {sig.name} before the system came up", file=sys.stderr)
-            return 130
-        print(f"cluster: {sig.name} — draining workers", file=sys.stderr)
-        drained = "clean" if system.engine.drain(grace=5.0) else "timeout"
-    wall = _time.perf_counter() - wall0
-
-    _print_summary(args, system, wall, drained=drained)
+    system, wall, drained = _interruptible("cluster", spec, deploy)
+    if system is None:
+        reap_orphan_workers()
+        return 130
+    _print_summary(args.file, system, wall, drained)
     engine = system.engine
     recovered = True
     if isinstance(engine, ClusterEngine):
         report = engine.supervisor.report()
         print(report.render())
-        if drills and not interrupted:
+        if drills and drained is None:
             recovered = report.recovered()
             print(f"recovered={recovered}")
     system.shutdown()
@@ -684,31 +544,12 @@ def cmd_cluster(args) -> int:
     return 0 if recovered else 2
 
 
-def _load_arch_text(value: str, n_backends: int | None) -> str:
-    """A shipped architecture name or a ``.csaw`` path → DSL source
-    (``@BACKENDS@`` placeholders expanded)."""
-    from .arch.loader import ARCHITECTURES, expand_placeholders, load_source
-
-    if value in ARCHITECTURES:
-        return load_source(value, n_backends=n_backends)
-    text = Path(value).read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text, n_backends or 4)
-    return text
-
-
 def cmd_reconfigure(args) -> int:
-    import time as _time
-
     from .reconfig import diff_programs, plan_transition
 
     config = _parse_config(args.config)
-    old = compile_program(
-        _load_arch_text(args.old, args.old_backends), config=config
-    )
-    new = compile_program(
-        _load_arch_text(args.new, args.new_backends), config=config
-    )
+    old = compile_program(_resolve(args.old, n_backends=args.old_backends), config=config)
+    new = compile_program(_resolve(args.new, n_backends=args.new_backends), config=config)
     diff = diff_programs(old, new)
     print(f"diff: {diff.summary()}")
     if args.diff_only:
@@ -718,49 +559,26 @@ def cmd_reconfigure(args) -> int:
         print(plan.render())
         return 0
 
-    spec = _engine_spec(args, command="reconfigure", default_time_scale=0.05)
-    from .runtime.system import System
+    spec = _engine_spec(args, default_time_scale=0.05)
+    reports: list = []
 
-    wall0 = _time.perf_counter()
-    with _compile_ctx(spec), _graceful_signals(enabled=spec.name != "sim"):
-        system = System(old, engine=spec)
-        stubbed = _stub_bindings(system)
-        if stubbed:
-            print(f"stubbed host bindings: {', '.join(stubbed)}", file=sys.stderr)
-        main_args = {}
-        if old.main is not None:
-            env = old.config_env()
-            main_args = {p: 1.0 for p in old.main.params if p not in env}
-        if main_args:
-            print(
-                f"defaulted main parameter(s) to 1.0: {sorted(main_args)}",
-                file=sys.stderr,
-            )
-        system.start(**main_args)
+    def transition(holder):
+        system = _boot(old, spec, holder)
         system.run_until(args.at)
-        report = system.reconfigure(new, quiesce_grace=args.grace)
+        reports.append(system.reconfigure(new, quiesce_grace=args.grace))
         system.run_until(args.until if args.until is not None else system.now + 5.0)
-    wall = _time.perf_counter() - wall0
+        return system
 
-    print(report.render())
-    print(
-        f"{args.old} -> {args.new}: engine={system.engine.name} "
-        f"t={system.now:.3f} wall={wall:.2f}s failures={len(system.failures)}"
-    )
-    for t, node, exc in system.failures:
-        print(f"  failure at t={t:.3f} in {node}: {exc!r}", file=sys.stderr)
+    system, wall, drained = _interruptible("reconfigure", spec, transition)
+    if system is None:
+        return 130
+    for report in reports:
+        print(report.render())
+    _print_summary(f"{args.old} -> {args.new}", system, wall, drained, traffic=False)
     system.shutdown()
     if system.failures:
         return 1
-    return 0 if report.ok else 2
-
-
-def _explore_scenario(args):
-    from .explore import resolve_scenario
-
-    return resolve_scenario(
-        args.file, config=_parse_config(args.config), horizon=args.until
-    )
+    return 0 if reports and reports[0].ok else 2
 
 
 def _write_trace(result, schedule_id: str, path: str) -> None:
@@ -797,21 +615,10 @@ def _explore_witness_races(args, scenario) -> int:
     import json
 
     from .analysis import analyze_source
-    from .arch.loader import ARCHITECTURES, load_source
     from .explore import witness_findings
 
-    if args.file in ARCHITECTURES:
-        text = load_source(args.file)
-    else:
-        path = Path(args.file)
-        if path.suffix == ".py":
-            raise SystemExit(
-                "error: --witness-races needs a .csaw file or architecture "
-                "name (the static analyzer works on DSL sources)"
-            )
-        text = path.read_text()
     report = analyze_source(
-        text, _parse_config(args.config), label=args.file, deep=True
+        _resolve(args.file), _parse_config(args.config), label=args.file, deep=True
     )
     races = [f for f in report.unsuppressed() if f.check == "race"]
     if not races:
@@ -837,31 +644,32 @@ def _explore_witness_races(args, scenario) -> int:
 def cmd_explore(args) -> int:
     import json
 
-    from .explore import explore
+    from .explore import explore, resolve_scenario
+    from .runtime.engine import default_engine
 
-    spec = _engine_spec(args, command="explore")
+    spec = _engine_spec(args)
     if spec.name != "sim":
         raise SystemExit(
             f"error: explore requires the sim engine (controlled "
             f"scheduling), got --engine {spec.name}"
         )
-    # spec.compiled is accepted but moot: controlled scheduling always
-    # runs the interpreter so event labels match recorded schedules
-    scenario = _explore_scenario(args)
-    if args.replay:
-        return _explore_replay(args, scenario)
-    if args.witness_races:
-        return _explore_witness_races(args, scenario)
-
-    invariants = tuple(args.invariant) if args.invariant else None
-    result = explore(
-        scenario,
-        strategy=args.strategy,
-        budget=args.budget,
-        depth=args.depth,
-        invariants=invariants,
-        seed=args.seed,
-    )
+    with default_engine(spec):
+        scenario = resolve_scenario(
+            args.file, config=_parse_config(args.config), horizon=args.until
+        )
+        if args.replay:
+            return _explore_replay(args, scenario)
+        if args.witness_races:
+            return _explore_witness_races(args, scenario)
+        invariants = tuple(args.invariant) if args.invariant else None
+        result = explore(
+            scenario,
+            strategy=args.strategy,
+            budget=args.budget,
+            depth=args.depth,
+            invariants=invariants,
+            seed=args.seed,
+        )
     print(f"{scenario.name}: {result.summary()}")
     for v in result.violations:
         print(
@@ -878,21 +686,57 @@ def cmd_explore(args) -> int:
     return 2 if result.violations else 0
 
 
+def _add_config(sp) -> None:
+    sp.add_argument(
+        "--config", action="append", default=[], metavar="NAME=VALUE",
+        help="load-time configuration (sets, parameters); repeatable",
+    )
+
+
+def _add_source(sp, help: str) -> None:
+    """The positional architecture argument plus ``--config``."""
+    sp.add_argument("file", help=help)
+    _add_config(sp)
+
+
+def _add_engine(sp, default: str | None = "sim", *, only: str | None = None) -> None:
+    """``--engine SPEC``; ``only`` names the one engine a command accepts."""
+    example = {
+        None: "realtime,time_scale=0.05 or sim,compiled=off",
+        "sim": "sim,compiled=off",
+        "cluster": "cluster,workers=4,time_scale=0.05",
+    }[only]
+    sp.add_argument(
+        "--engine", metavar="SPEC", default=default,
+        help=f"engine spec: {only or 'sim | realtime | realtime-tcp | cluster'} "
+             f"plus key=value options, e.g. {example} "
+             f"(default: {default or 'sim'})",
+    )
+
+
+def _add_until(sp, default: float | None = None,
+               note: str = "the scenario's own, or 30") -> None:
+    sp.add_argument(
+        "--until", type=float, default=default,
+        help=f"logical-seconds horizon (default: {note})",
+    )
+
+
+_DSL_SOURCE = "a .csaw file or a shipped architecture name"
+_RUN_SOURCE = (
+    "a shipped architecture name (driven by its exploration workload) "
+    "or a .csaw file (unbound host blocks are stubbed)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro", description="C-Saw architecture tooling"
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("file", help="a .csaw architecture file")
-        sp.add_argument(
-            "--config", action="append", default=[], metavar="NAME=VALUE",
-            help="load-time configuration (sets, parameters); repeatable",
-        )
-
     sp = sub.add_parser("check", help="parse, validate and compile")
-    common(sp)
+    _add_source(sp, _DSL_SOURCE)
     sp.add_argument(
         "--strict", action="store_true",
         help="also run the analyzer's fast checks; exit 2 on errors",
@@ -902,14 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "analyze", help="static analysis: races, dead code, host contracts"
     )
-    sp.add_argument(
-        "file",
-        help="a .csaw file, a shipped architecture name, or an example .py script",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (sets, parameters); repeatable",
-    )
+    _add_source(sp, "a .csaw file, a shipped architecture name, or an example .py script")
     sp.add_argument("--json", action="store_true", help="machine-readable output")
     sp.add_argument(
         "--fail-on", metavar="CHECKS", default="",
@@ -932,11 +769,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_fmt)
 
     sp = sub.add_parser("topo", help="print the communication topology")
-    common(sp)
+    _add_source(sp, _DSL_SOURCE)
     sp.set_defaults(fn=cmd_topo)
 
     sp = sub.add_parser("semantics", help="print event-structure semantics")
-    common(sp)
+    _add_source(sp, _DSL_SOURCE)
     sp.add_argument("--dot", action="store_true", help="Graphviz output")
     sp.set_defaults(fn=cmd_semantics)
 
@@ -947,53 +784,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "trace", help="run with telemetry and export the causal trace"
     )
-    sp.add_argument("file", help="a .csaw architecture or an example .py script")
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (for .csaw files); repeatable",
-    )
+    _add_source(sp, "a .csaw file, a shipped architecture name, or an example .py script")
     sp.add_argument(
         "--format", choices=("jsonl", "chrome"), default="jsonl",
         help="export format (default: jsonl)",
     )
-    sp.add_argument(
-        "--until", type=float, default=60.0,
-        help="simulated seconds to run a .csaw file for (default: 60)",
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default=None,
-        help="engine spec, e.g. sim, sim,compiled=off, "
-             "realtime,time_scale=0.05 (default: sim)",
-    )
+    _add_until(sp, 60.0, "60; DSL sources only")
+    _add_engine(sp, None)
     sp.add_argument("--out", help="write to this file instead of stdout")
     sp.set_defaults(fn=cmd_trace)
 
     sp = sub.add_parser(
         "run", help="execute an architecture on a chosen execution engine"
     )
-    sp.add_argument(
-        "file",
-        help="a shipped architecture name (driven by its exploration "
-             "workload) or a .csaw file (unbound host blocks are stubbed)",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (for .csaw files); repeatable",
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default="sim",
-        help="engine spec: sim | realtime | realtime-tcp | cluster plus "
-             "key=value options, e.g. realtime,time_scale=0.05 or "
-             "sim,compiled=off (default: sim)",
-    )
-    sp.add_argument(
-        "--until", type=float, default=None,
-        help="logical-seconds horizon (default: the scenario's own, or 30)",
-    )
-    sp.add_argument(
-        "--time-scale", type=float, default=None,
-        help="deprecated: use --engine NAME,time_scale=X",
-    )
+    _add_source(sp, _RUN_SOURCE)
+    _add_engine(sp)
+    _add_until(sp)
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser(
@@ -1006,11 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="architecture adapter: broker_sharded | broker_failover | "
              "sharding | failover (default: broker_sharded)",
     )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default="sim",
-        help="engine spec: sim | realtime | realtime-tcp | cluster plus "
-             "key=value options (default: sim)",
-    )
+    _add_engine(sp)
     sp.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
     sp.add_argument(
         "--users", type=int, default=10_000,
@@ -1058,32 +860,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="deploy across supervised worker processes (one per instance "
              "or shard group), with optional SIGKILL fault drills",
     )
-    sp.add_argument(
-        "file",
-        help="a shipped architecture name (driven by its exploration "
-             "workload) or a .csaw file (unbound host blocks are stubbed)",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (for .csaw files); repeatable",
-    )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default="cluster",
-        help="engine spec (name must be cluster), e.g. "
-             "cluster,workers=4,time_scale=0.05 (default: cluster)",
-    )
-    sp.add_argument(
-        "--workers", type=int, default=None,
-        help="deprecated: use --engine cluster,workers=N",
-    )
-    sp.add_argument(
-        "--until", type=float, default=None,
-        help="logical-seconds horizon (default: the scenario's own, or 30)",
-    )
-    sp.add_argument(
-        "--time-scale", type=float, default=None,
-        help="deprecated: use --engine cluster,time_scale=X",
-    )
+    _add_source(sp, _RUN_SOURCE)
+    _add_engine(sp, "cluster", only="cluster")
+    _add_until(sp)
     sp.add_argument(
         "--heartbeat-interval", type=float, default=0.5,
         help="logical seconds between liveness pings (default: 0.5)",
@@ -1122,18 +901,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply a .csaw architecture diff to a running system "
              "(quiesce, snapshot, cutover, resume — zero dropped requests)",
     )
-    sp.add_argument(
-        "old",
-        help="the running architecture: a shipped name or a .csaw file",
-    )
-    sp.add_argument(
-        "new",
-        help="the target architecture: a shipped name or a .csaw file",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration applied to both sources; repeatable",
-    )
+    sp.add_argument("old", help=f"the running architecture: {_DSL_SOURCE}")
+    sp.add_argument("new", help=f"the target architecture: {_DSL_SOURCE}")
+    _add_config(sp)
     sp.add_argument(
         "--old-backends", type=int, default=None, metavar="N",
         help="back-end count for a parameterized OLD source (sharding)",
@@ -1142,20 +912,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--new-backends", type=int, default=None, metavar="N",
         help="back-end count for a parameterized NEW source (sharding)",
     )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default="sim",
-        help="engine spec: sim | realtime | realtime-tcp | cluster plus "
-             "key=value options (default: sim)",
-    )
+    _add_engine(sp)
     sp.add_argument(
         "--at", type=float, default=2.0,
         help="logical time to trigger the transition (default: 2.0)",
     )
-    sp.add_argument(
-        "--until", type=float, default=None,
-        help="logical-seconds horizon after the transition "
-             "(default: trigger time + 5)",
-    )
+    _add_until(sp, note="trigger time + 5")
     sp.add_argument(
         "--grace", type=float, default=5.0,
         help="quiesce grace in logical seconds before rollback (default: 5.0)",
@@ -1174,14 +936,10 @@ def build_parser() -> argparse.ArgumentParser:
         "explore",
         help="controlled-scheduler interleaving search with invariant checks",
     )
-    sp.add_argument(
-        "file",
-        help="a shipped architecture name, a .csaw file, or a .py scenario "
-             "script defining build_scenario()",
-    )
-    sp.add_argument(
-        "--config", action="append", default=[], metavar="NAME=VALUE",
-        help="load-time configuration (for .csaw files); repeatable",
+    _add_source(
+        sp,
+        "a shipped architecture name, a .csaw file, or a .py scenario "
+        "script defining build_scenario()",
     )
     sp.add_argument(
         "--strategy", choices=("dpor", "bfs", "dfs", "random"), default="dpor",
@@ -1203,15 +961,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--seed", type=int, default=0, help="seed for the random strategy"
     )
-    sp.add_argument(
-        "--engine", metavar="SPEC", default=None,
-        help="engine spec; accepted for uniformity but must name sim "
-             "(exploration needs controlled scheduling)",
-    )
-    sp.add_argument(
-        "--until", type=float, default=None,
-        help="simulated-seconds horizon for .csaw scenarios",
-    )
+    _add_engine(sp, None, only="sim")
+    _add_until(sp)
     sp.add_argument(
         "--replay", metavar="SCHEDULE_JSON",
         help="replay a serialized schedule exactly instead of searching",

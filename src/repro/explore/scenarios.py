@@ -12,8 +12,8 @@ Three scenario sources mirror the CLI targets:
   architectures gets a small deterministic workload (a few store
   commands, a job burst, a snapshot round) sized for exploration,
   where hundreds of runs must stay cheap;
-* :class:`CsawScenario` — a ``.csaw`` source run bare (no host
-  bindings), for pure-DSL fixtures such as the racy corpus under
+* :class:`CsawScenario` — a ``.csaw`` source run bare (host blocks
+  stubbed), for pure-DSL fixtures such as the racy corpus under
   ``tests/explore``;
 * ``.py`` targets are loaded by the CLI via :func:`load_py_scenario`:
   the script must define ``build_scenario() -> Scenario``.
@@ -50,7 +50,9 @@ class Scenario:
 
 
 class CsawScenario(Scenario):
-    """A bare ``.csaw`` program: start main, run to the horizon."""
+    """A bare ``.csaw`` program: boot it the way ``repro run`` does
+    (stubbed host blocks, unset main parameters at 1.0), run to the
+    horizon."""
 
     def __init__(
         self,
@@ -67,8 +69,9 @@ class CsawScenario(Scenario):
         self.program = compile_program(source, config=self.config)  # fail fast
 
     def run(self) -> System:
-        system = System(compile_program(self.source, config=self.config))
-        system.start()
+        from ..arch.loader import boot_program
+
+        system = boot_program(compile_program(self.source, config=self.config))
         system.run_until(self.horizon)
         return system
 
@@ -546,11 +549,8 @@ def resolve_scenario(target: str, *, config: dict | None = None, horizon: float 
     path = Path(target)
     if path.suffix == ".py":
         return load_py_scenario(path)
-    from ..arch.loader import expand_placeholders
+    from ..arch.loader import resolve_source
 
-    text = path.read_text()
-    if "@BACKENDS@" in text:
-        text = expand_placeholders(text)
     return CsawScenario(
-        text, name=str(path), config=config, horizon=horizon if horizon is not None else 30.0
+        resolve_source(target), name=str(path), config=config, horizon=horizon if horizon is not None else 30.0
     )

@@ -263,8 +263,7 @@ class SimEngine(ExecutionEngine):
     """The deterministic discrete-event backend (the default).
 
     Wraps a :class:`~repro.runtime.sim.Simulator` — optionally a shared
-    one, so several systems can run on one timeline exactly as the
-    ``System(sim=...)`` parameter always allowed.
+    one, so several systems can run on one timeline.
     """
 
     name = "sim"
@@ -296,12 +295,10 @@ class EngineSpec:
     """One value describing *how to execute* a System: the engine
     backend plus its options plus the compile mode.
 
-    Before this existed, the same choice was scattered across
-    ``System(engine=...)``, ``default_engine()``, and per-subcommand CLI
-    flags (``--time-scale``, ``--workers``).  An ``EngineSpec`` is
-    accepted uniformly by :class:`~repro.runtime.system.System`,
-    :func:`default_engine`, and every CLI subcommand's ``--engine``
-    flag, with a single textual form::
+    An ``EngineSpec`` is accepted uniformly by
+    :class:`~repro.runtime.system.System`, :func:`default_engine`, and
+    every CLI subcommand's ``--engine`` flag, with a single textual
+    form::
 
         sim
         sim,compiled=off

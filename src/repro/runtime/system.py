@@ -28,7 +28,6 @@ Req`` …).
 from __future__ import annotations
 
 import random
-import warnings
 from functools import partial
 from typing import Callable, Mapping
 
@@ -65,7 +64,6 @@ from .engine import (
 from .instance import InstanceRuntime, InstanceTypeRuntime, JunctionRuntime
 from .interpreter import JunctionExecution
 from .kvtable import UNDEF, Update
-from .sim import Simulator
 
 
 class System:
@@ -80,7 +78,6 @@ class System:
         max_retries: int = 3,
         seed: int = 0,
         serializer: Serializer | None = None,
-        sim: Simulator | None = None,
         delivery_policy: DeliveryPolicy | None = None,
         telemetry: Telemetry | bool | None = None,
         host_contract: str = "strict",
@@ -97,38 +94,20 @@ class System:
         #: performs the write and emits a ``host_contract_violation``
         #: telemetry event (sec. 6's ``⌊H⌉{V}`` write contract)
         self.host_contract = host_contract
-        # -- execution engine resolution: explicit engine/spec > shared
-        #    sim (deprecated) > ambient default_engine() scope > fresh
-        #    SimEngine.  Spec strings and EngineSpec values carry a
-        #    compile mode too; the explicit ``compiled`` kwarg wins.
-        if sim is not None:
-            warnings.warn(
-                "System(sim=...) is deprecated; pass engine=SimEngine(sim) "
-                "or an EngineSpec",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        spec_compiled: bool | None = None
+        # -- execution engine resolution: explicit engine/spec > ambient
+        #    default_engine() scope > fresh SimEngine.  The explicit spec,
+        #    else the ambient one, carries a compile mode too (reaching
+        #    Systems built on their own engine instance); the explicit
+        #    ``compiled`` kwarg wins over both.
+        spec = _default_engine_spec()
         if isinstance(engine, (EngineSpec, str)):
             spec = EngineSpec.of(engine)
-            spec_compiled = spec.compiled
             engine = spec.create()
-        if engine is not None:
-            if sim is not None:
-                raise ValueError("pass engine=... or sim=..., not both")
-        elif sim is not None:
-            engine = SimEngine(sim)
-        else:
+        if engine is None:
             factory = _default_engine_factory()
-            if factory is not None:
-                engine = factory()
-                ambient = _default_engine_spec()
-                if ambient is not None:
-                    spec_compiled = ambient.compiled
-            else:
-                engine = SimEngine()
-        if compiled is None:
-            compiled = spec_compiled
+            engine = factory() if factory is not None else SimEngine()
+        if compiled is None and spec is not None:
+            compiled = spec.compiled
         if compiled is None:
             from ..compile import compile_default
 
@@ -604,14 +583,11 @@ class System:
     def _compile_junction(self, jr: JunctionRuntime):
         """Compile a freshly-bound junction (tentpole of the junction
         compiler).  Disabled per system via ``compiled=False`` /
-        ``compilation(False)``, and always under a schedule controller
-        (``repro explore`` replays against interpreter event labels).
-        Restarting an instance with the same arguments reuses the cached
-        code — the generated module closes over no per-execution state.
+        ``compilation(False)``.  Restarting an instance with the same
+        arguments reuses the cached code — the generated module closes
+        over no per-execution state.
         """
         if not self._compiled:
-            return None
-        if getattr(self.clock, "controller", None) is not None:
             return None
         key = (jr.node, tuple(sorted(jr.ast_params.items())))
         try:

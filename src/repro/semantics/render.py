@@ -32,12 +32,16 @@ def immediate_causality(es: EventStructure) -> set[tuple[int, int]]:
 def minimal_conflicts(es: EventStructure) -> set[frozenset]:
     """Conflicts ``e1 # e2`` minimal in the sense of sec. 8.2.1."""
     inh = es.inherited_conflicts()
+    # every history from one closure (``es.history`` recomputes it per call)
+    history = {e.id: {e.id} for e in es.events}
+    for a, b in es.closure_le():
+        history[b].add(a)
     out = set()
     for pair in inh:
         a, b = tuple(pair)
         minimal = True
-        for ea in es.history(a):
-            for eb in es.history(b):
+        for ea in history[a]:
+            for eb in history[b]:
                 p = frozenset((ea, eb))
                 if len(p) == 2 and p in inh and p != pair:
                     minimal = False

@@ -10,7 +10,6 @@ from repro.runtime.channels import Message
 from repro.runtime.engine import use_controller
 from repro.runtime.kvtable import Update
 from repro.runtime.realtime import RealtimeClock
-from repro.runtime.sim import Simulator
 from repro.runtime.wire import decode_message, encode_message
 from repro.serde.framing import SavedData
 
@@ -39,18 +38,6 @@ class TestSelection:
         sys_ = single_junction("skip", engine="sim")
         assert sys_.engine.name == "sim"
         assert isinstance(sys_.engine, SimEngine)
-
-    def test_engine_and_sim_are_exclusive(self):
-        with pytest.warns(DeprecationWarning, match="System\\(sim=...\\) is deprecated"):
-            with pytest.raises(ValueError, match="not both"):
-                single_junction("skip", engine=SimEngine(), sim=Simulator())
-
-    def test_shared_sim_still_means_sim_engine(self):
-        sim = Simulator()
-        with pytest.warns(DeprecationWarning, match="System\\(sim=...\\) is deprecated"):
-            sys_ = single_junction("skip", sim=sim)
-        assert sys_.engine.name == "sim"
-        assert sys_.sim is sim and sys_.clock is sim
 
     def test_default_engine_scope(self):
         with default_engine(lambda: RealtimeEngine(time_scale=SCALE)):
